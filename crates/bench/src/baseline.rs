@@ -6,7 +6,7 @@
 //! reproduces its baseline *exactly*; the tolerance band exists to let
 //! intentional small calibration changes land without a baseline churn,
 //! while anything that moves a figure materially — or silently inverts an
-//! ordering — fails the `regress` gate. Counter-like metrics (map
+//! ordering — fails the `bench regress` gate. Counter-like metrics (map
 //! versions, repair counts, lock revokes) get zero tolerance: they are
 //! exact protocol outcomes, not bandwidths.
 

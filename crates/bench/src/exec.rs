@@ -106,12 +106,6 @@ impl<'a, T: Send> Slate<'a, T> {
         self.jobs.is_empty()
     }
 
-    /// Run every job on [`threads`] host threads (the resolved default).
-    pub fn run_auto(self) -> Result<Vec<JobResult<T>>, PanickedJob> {
-        let n = threads();
-        self.run(n)
-    }
-
     /// Run every job across `threads` host threads and return the results
     /// in submission order. `threads <= 1` runs serially on the calling
     /// thread; either way each job body executes on exactly one thread.
@@ -156,12 +150,13 @@ impl<'a, T: Send> Slate<'a, T> {
             // serial fast path: same per-job harness, calling thread only
             worker(0);
         } else {
-            crossbeam::scope(|scope| {
+            // workers catch every job's unwind, so the scope never
+            // re-raises a panic
+            std::thread::scope(|scope| {
                 for t in 0..threads {
-                    scope.spawn(move |_| worker(t));
+                    scope.spawn(move || worker(t));
                 }
-            })
-            .expect("slate workers never propagate panics");
+            });
         }
 
         // ---- ordered reduction ---------------------------------------

@@ -1,0 +1,862 @@
+//! The experiment registry: every figure, contrast and sweep the
+//! reproduction's findings rest on, each defined exactly once.
+//!
+//! An [`Experiment`] entry owns its report name and seed, its cell
+//! parameters at each [`Scale`], the labelled slate jobs it pushes, the
+//! testbed its report's config hash names, and its checks — per-cell
+//! shape checks plus the R-invariants that read its report. The `bench`
+//! binary drives the registry in two modes: `bench run <name>...` (full
+//! scale, or `--reduced`) and `bench regress` (the gate: every
+//! non-nightly entry at [`Scale::Reduced`]; `--nightly` adds the rest).
+//!
+//! Whatever the selection, all jobs go on one [`Slate`], heaviest first.
+//! Job cost is a scheduling hint only: cells are regrouped by experiment
+//! in each experiment's own job order before they are reduced or
+//! checked, and reports are `BTreeMap`-keyed, so every artifact is
+//! byte-identical at any thread count and for any selection.
+
+use daos_core::ClusterConfig;
+use daos_ior::Api;
+use daos_placement::ObjectClass;
+use daos_sim::units::MIB;
+
+use crate::exec::Slate;
+use crate::figures::{
+    check_fault_timeline, check_rot_timeline, csum_overhead_point, daos_point, fault_timeline,
+    figure_apis, figure_classes, grid_points, io500_point, pfs_point, record_fault_timeline,
+    record_rot_timeline, rot_timeline, scale_cluster, FaultTimeline, RotTimeline, FIG1_SEED,
+    FIG2_SEED, FULL_REPEATS, PPN, REDUCED_REPEATS,
+};
+use crate::invariants::{self, InvariantResult};
+use crate::qos::{check_qos_cell, qos_cluster, qos_point, record_qos_cell, QosCell};
+use crate::qos::{QosSweepParams, QOS_SEED};
+use crate::report::{config_hash, BenchReport, Fragment, Record};
+use crate::traffic::{check_traffic_cell, record_traffic_cell, traffic_cluster, traffic_modes};
+use crate::traffic::{traffic_point, TrafficCell, TrafficParams, TRAFFIC_SEED};
+use crate::{paper_cluster, paper_params, print_ascii_chart, print_table, Reporter};
+
+/// How big to run an experiment.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Scale {
+    /// The committed full-scale figures (`bench run <name>`).
+    Full,
+    /// The CI gate (`bench regress`, `bench run --reduced`): the scales
+    /// the invariants read, compared against `results/baselines/`.
+    Reduced,
+    /// A miniature of every job kind, for the schedule-independence tests.
+    Smoke,
+}
+
+/// What one job hands back. Every cell records itself into its
+/// experiment's report; the typed timelines and open-loop cells are also
+/// kept whole for the per-cell checks.
+pub enum Cell {
+    /// Plain records: IOR figure cells, contrast cells, the IO500
+    /// composite, checksum-overhead points.
+    Records(Fragment),
+    Fault(FaultTimeline),
+    Rot(RotTimeline),
+    Traffic(TrafficCell),
+    Qos(QosCell),
+}
+
+impl Cell {
+    fn record(&self, report: &mut BenchReport) {
+        match self {
+            Cell::Records(f) => f.replay_into(report),
+            Cell::Fault(t) => record_fault_timeline(report, t),
+            Cell::Rot(t) => record_rot_timeline(report, t),
+            Cell::Traffic(c) => record_traffic_cell(report, c),
+            Cell::Qos(c) => record_qos_cell(report, c),
+        }
+    }
+}
+
+/// One labelled job: a closure running one seeded simulation.
+pub(crate) struct Job {
+    label: String,
+    /// Roughly the MiB the cell moves through the simulated stack; slates
+    /// submit heavier jobs first. Never affects any output.
+    cost: u64,
+    run: Box<dyn FnOnce() -> Cell + Send>,
+}
+
+fn job(label: String, cost: u64, run: impl FnOnce() -> Cell + Send + 'static) -> Job {
+    Job {
+        label,
+        cost,
+        run: Box::new(run),
+    }
+}
+
+/// One registry entry.
+pub struct Experiment {
+    /// Report name: the artifact is `BENCH_<name>.json`.
+    pub name: &'static str,
+    /// Root seed stamped on the report (and handed to the jobs).
+    pub seed: u64,
+    /// Run only by `bench regress --nightly` (and `bench run`).
+    pub nightly: bool,
+    /// The labelled jobs at a scale, in the experiment's own order.
+    jobs: fn(u64, Scale) -> Vec<Job>,
+    /// Testbed whose hash stamps the report; `None` (hash 0) when the
+    /// cells run on several testbeds.
+    testbed: fn(Scale) -> Option<ClusterConfig>,
+    /// Shape checks and R-invariants over the report and its cells. The
+    /// cells are empty when a stored report is re-checked.
+    checks: fn(&mut Reporter, &BenchReport, &[Cell], Scale),
+    /// ASCII chart titles (read, write), for Figures 1–2.
+    charts: Option<[&'static str; 2]>,
+}
+
+impl Experiment {
+    /// The experiment's labelled jobs at `scale`.
+    pub(crate) fn jobs(&self, scale: Scale) -> Vec<Job> {
+        (self.jobs)(self.seed, scale)
+    }
+
+    /// Fold cells (in job order) into the experiment's report;
+    /// `wall_secs` stays 0.0 so the result is schedule-independent.
+    pub(crate) fn reduce(&self, cells: &[Cell], scale: Scale) -> BenchReport {
+        let mut report = BenchReport::new(self.name, self.seed);
+        for cell in cells {
+            cell.record(&mut report);
+        }
+        if let Some(cfg) = (self.testbed)(scale) {
+            report.config_hash = config_hash(&cfg);
+        }
+        report
+    }
+
+    /// Run the experiment's checks against `rep`.
+    pub fn check(&self, rep: &mut Reporter, report: &BenchReport, cells: &[Cell], scale: Scale) {
+        (self.checks)(rep, report, cells, scale);
+    }
+
+    /// Print the report as a table (plus the figure charts).
+    pub fn print(&self, report: &BenchReport) {
+        print_table(report);
+        if let Some([read, write]) = self.charts {
+            print_ascii_chart(read, report, true);
+            print_ascii_chart(write, report, false);
+        }
+    }
+}
+
+/// Every experiment, in report order.
+pub const REGISTRY: [Experiment; 9] = [
+    Experiment {
+        name: "fig1_fpp",
+        seed: FIG1_SEED,
+        nightly: false,
+        jobs: |seed, s| figure_jobs("fig1", true, seed, s),
+        testbed: |s| Some(paper_cluster(top(figure_cells(s).nodes))),
+        checks: check_fig1,
+        charts: Some(["Fig 1(a) file-per-process", "Fig 1(b) file-per-process"]),
+    },
+    Experiment {
+        name: "fig2_shared",
+        seed: FIG2_SEED,
+        nightly: false,
+        jobs: |seed, s| figure_jobs("fig2", false, seed, s),
+        testbed: |s| Some(paper_cluster(top(figure_cells(s).nodes))),
+        checks: check_fig2,
+        charts: Some(["Fig 2(a) shared-file", "Fig 2(b) shared-file"]),
+    },
+    Experiment {
+        name: "pfs_contrast",
+        seed: 0x1F5,
+        nightly: false,
+        jobs: pfs_jobs,
+        testbed: |s| Some(paper_cluster(top(pfs_cells(s).nodes))),
+        checks: check_pfs,
+        charts: None,
+    },
+    Experiment {
+        name: "io500",
+        seed: 0x10500,
+        nightly: false,
+        jobs: io500_jobs,
+        testbed: |s| Some(paper_cluster(top(io500_cells(s).nodes))),
+        checks: check_io500,
+        charts: None,
+    },
+    Experiment {
+        name: "fault_sweep",
+        seed: 0xFA17,
+        nightly: false,
+        jobs: fault_jobs,
+        testbed: |_| None,
+        checks: check_fault,
+        charts: None,
+    },
+    Experiment {
+        name: "scrub_sweep",
+        seed: 0x5C2B,
+        nightly: false,
+        jobs: scrub_jobs,
+        testbed: |_| None,
+        checks: check_scrub,
+        charts: None,
+    },
+    Experiment {
+        name: "traffic_sweep",
+        seed: TRAFFIC_SEED,
+        nightly: false,
+        jobs: traffic_jobs,
+        testbed: |s| Some(traffic_cluster(&traffic_params(s), true)),
+        checks: check_traffic,
+        charts: None,
+    },
+    Experiment {
+        name: "qos_sweep",
+        seed: QOS_SEED,
+        nightly: false,
+        jobs: qos_jobs,
+        testbed: |s| Some(qos_cluster(&qos_params(s))),
+        checks: check_qos,
+        charts: None,
+    },
+    Experiment {
+        name: "scale",
+        seed: 0x5CA1E,
+        nightly: true,
+        jobs: scale_jobs,
+        testbed: |s| Some(scale_cluster(top(scale_cells(s).nodes))),
+        checks: check_scale,
+        charts: None,
+    },
+];
+
+/// The registry entry called `name`.
+pub fn lookup(name: &str) -> Option<&'static Experiment> {
+    REGISTRY.iter().find(|e| e.name == name)
+}
+
+/// What `bench regress` runs: every gate entry, plus the nightly tier
+/// when `nightly` is set.
+pub fn regress_selection(nightly: bool) -> Vec<&'static Experiment> {
+    REGISTRY.iter().filter(|e| nightly || !e.nightly).collect()
+}
+
+// ---------------------------------------------------------------------
+// Running a selection
+// ---------------------------------------------------------------------
+
+/// One experiment's share of a slate run.
+pub struct ExperimentRun {
+    pub experiment: &'static Experiment,
+    /// The reduced report (`wall_secs` 0.0).
+    pub report: BenchReport,
+    /// Cells in the experiment's own job order.
+    pub cells: Vec<Cell>,
+    /// Serial-equivalent host seconds: the sum of its jobs' wall times.
+    pub secs: f64,
+}
+
+/// Everything one slate run produces.
+pub struct SlateRun {
+    /// One entry per selected experiment, in selection order.
+    pub runs: Vec<ExperimentRun>,
+    /// Per-job `(label, wall_secs)` in submission order.
+    pub timings: Vec<(String, f64)>,
+    /// Sum of per-job wall times ≈ what a `--threads 1` run costs.
+    pub serial_secs: f64,
+    /// Host wall time of the whole slate at the chosen thread count.
+    pub elapsed_secs: f64,
+    /// Thread count the slate ran with.
+    pub threads: usize,
+}
+
+/// Run `selection` at `scale` as one slate across `threads` host
+/// threads. Panics (with the offending job's label) if any job panics —
+/// a run must fail loudly, not partially.
+pub fn run_selection(selection: &[&'static Experiment], scale: Scale, threads: usize) -> SlateRun {
+    let mut jobs = Vec::new();
+    for (e, exp) in selection.iter().enumerate() {
+        jobs.extend(
+            exp.jobs(scale)
+                .into_iter()
+                .enumerate()
+                .map(|(i, j)| (e, i, j)),
+        );
+    }
+    // heaviest first (stable, so ties keep registry and job order)
+    jobs.sort_by_key(|(_, _, j)| std::cmp::Reverse(j.cost));
+    let mut slate = Slate::new();
+    let mut owners = Vec::with_capacity(jobs.len());
+    for (e, i, j) in jobs {
+        owners.push((e, i));
+        slate.push(j.label, j.run);
+    }
+
+    // simlint: allow(D02) whole-slate wall-time provenance; reported out-of-band, never compared against baselines
+    let t0 = std::time::Instant::now();
+    let results = slate.run(threads).unwrap_or_else(|p| panic!("slate {p}"));
+    let elapsed_secs = t0.elapsed().as_secs_f64();
+
+    let mut grouped: Vec<Vec<(usize, Cell)>> = selection.iter().map(|_| Vec::new()).collect();
+    let mut secs = vec![0.0; selection.len()];
+    let mut timings = Vec::with_capacity(results.len());
+    for (result, (e, i)) in results.into_iter().zip(owners) {
+        secs[e] += result.wall_secs;
+        timings.push((result.label, result.wall_secs));
+        grouped[e].push((i, result.value));
+    }
+    let runs = selection
+        .iter()
+        .zip(grouped)
+        .zip(secs)
+        .map(|((&experiment, mut cells), secs)| {
+            cells.sort_by_key(|(i, _)| *i);
+            let cells: Vec<Cell> = cells.into_iter().map(|(_, c)| c).collect();
+            ExperimentRun {
+                experiment,
+                report: experiment.reduce(&cells, scale),
+                cells,
+                secs,
+            }
+        })
+        .collect();
+    SlateRun {
+        runs,
+        serial_secs: timings.iter().map(|(_, s)| s).sum(),
+        timings,
+        elapsed_secs,
+        threads,
+    }
+}
+
+// ---------------------------------------------------------------------
+// Cell parameters per scale
+// ---------------------------------------------------------------------
+
+/// Cell knobs of the IOR-shaped experiments at one scale.
+#[derive(Clone, Copy, Debug)]
+struct Cells {
+    /// Client-node axis, ascending; single-scale experiments list one.
+    nodes: &'static [u32],
+    /// Processes per client node.
+    ppn: u32,
+    /// Bytes each rank writes (the IOR block).
+    block: u64,
+    /// Averaged placements per cell.
+    repeats: u64,
+}
+
+const fn cells(nodes: &'static [u32], ppn: u32, block: u64, repeats: u64) -> Cells {
+    Cells {
+        nodes,
+        ppn,
+        block,
+        repeats,
+    }
+}
+
+fn top(nodes: &[u32]) -> u32 {
+    nodes.iter().copied().max().unwrap_or(1)
+}
+
+/// Figures 1–2: the paper's 1–16-node axis at 32 MiB per rank; the gate
+/// keeps the two scales every R1–R4 invariant reads.
+fn figure_cells(s: Scale) -> Cells {
+    match s {
+        Scale::Full => cells(&[1, 2, 4, 8, 16], PPN, 32 * MIB, FULL_REPEATS),
+        Scale::Reduced => cells(&[1, 16], PPN, 32 * MIB, REDUCED_REPEATS),
+        Scale::Smoke => cells(&[1, 2], 4, MIB, 1),
+    }
+}
+
+/// PFS contrast: 16 MiB per rank (LDLM lock ping-pong makes big runs slow).
+fn pfs_cells(s: Scale) -> Cells {
+    match s {
+        Scale::Full => cells(&[1, 4, 8, 16], PPN, 16 * MIB, 1),
+        Scale::Reduced => cells(&[1, 16], PPN, 16 * MIB, 1),
+        Scale::Smoke => cells(&[1, 2], 4, MIB, 1),
+    }
+}
+
+fn io500_cells(s: Scale) -> Cells {
+    match s {
+        Scale::Full => cells(&[8], 16, 16 * MIB, 1),
+        Scale::Reduced => cells(&[4], 8, 16 * MIB, 1),
+        Scale::Smoke => cells(&[2], 2, MIB, 1),
+    }
+}
+
+/// Fault timeline: `block` is the bytes each rank writes and re-reads.
+fn fault_cells(s: Scale) -> Cells {
+    match s {
+        Scale::Full => cells(&[4], 8, 8 * MIB, 1),
+        Scale::Reduced => cells(&[2], 4, 4 * MIB, 1),
+        Scale::Smoke => cells(&[2], 2, MIB, 1),
+    }
+}
+
+/// Checksum-overhead points of the scrub sweep.
+fn csum_cells(s: Scale) -> Cells {
+    match s {
+        Scale::Full | Scale::Reduced => cells(&[2], 4, 8 * MIB, 1),
+        Scale::Smoke => cells(&[2], 2, MIB, 1),
+    }
+}
+
+/// Beyond the paper's testbed: 4 MiB per rank keeps 512 nodes × 16 ppn
+/// tractable, and the per-node trends the R2x/R5x checks read converge
+/// well below the paper's 32 MiB. The gate's nightly tier runs it whole.
+fn scale_cells(s: Scale) -> Cells {
+    match s {
+        Scale::Full | Scale::Reduced => cells(&[64, 128, 256, 512], PPN, 4 * MIB, 1),
+        Scale::Smoke => cells(&[2, 4], 2, MIB, 1),
+    }
+}
+
+/// Protected classes the fault and scrub sweeps exercise; the gate runs
+/// the replicated class only.
+fn protected_classes(s: Scale, ec_data: u16, ec_parity: u16) -> Vec<ObjectClass> {
+    let mut classes = vec![ObjectClass::RP_2GX];
+    if s == Scale::Full {
+        classes.push(ObjectClass::ErasureCoded {
+            data: ec_data,
+            parity: ec_parity,
+            groups: None,
+        });
+    }
+    classes
+}
+
+fn traffic_params(s: Scale) -> TrafficParams {
+    match s {
+        Scale::Full => TrafficParams::full(),
+        Scale::Reduced => TrafficParams::reduced(),
+        Scale::Smoke => TrafficParams::smoke(),
+    }
+}
+
+fn qos_params(s: Scale) -> QosSweepParams {
+    match s {
+        Scale::Full => QosSweepParams::full(),
+        Scale::Reduced => QosSweepParams::reduced(),
+        Scale::Smoke => QosSweepParams::smoke(),
+    }
+}
+
+/// Cost hint of an IOR-shaped cell: MiB written across all ranks.
+fn ior_cost(nodes: u32, c: Cells) -> u64 {
+    nodes as u64 * c.ppn as u64 * (c.block / MIB).max(1) * c.repeats
+}
+
+/// Cost hint of an open-loop cell: MiB offered over its window, against
+/// the ~12 GiB/s nominal write path of the 4-engine overload testbeds.
+fn open_loop_cost(load_pct: u32, window: daos_sim::time::SimDuration) -> u64 {
+    const NOMINAL_MIB_PER_MS: u64 = 12;
+    load_pct as u64 * NOMINAL_MIB_PER_MS * window.as_ns() / 1_000_000 / 100
+}
+
+// ---------------------------------------------------------------------
+// Jobs
+// ---------------------------------------------------------------------
+
+/// The `(write, read)` bandwidth records of one IOR run.
+fn bandwidth(series: &str, nodes: u32, write: f64, read: f64) -> Fragment {
+    let mut f = Fragment::new();
+    f.record(series, nodes, "write_gib_s", write);
+    f.record(series, nodes, "read_gib_s", read);
+    f
+}
+
+/// Figures 1–2: interface × object class × node count, one job per cell.
+fn figure_jobs(fig: &str, fpp: bool, seed: u64, s: Scale) -> Vec<Job> {
+    let c = figure_cells(s);
+    grid_points(&figure_apis(), &figure_classes(), c.nodes)
+        .into_iter()
+        .map(|point| {
+            let n = point.client_nodes;
+            let label = format!("{fig}/{}-{}/{n}n", point.api.name(), point.oclass);
+            job(label, ior_cost(n, c), move || {
+                let mut params = paper_params(point.api, point.oclass, fpp, c.ppn);
+                params.block_size = c.block;
+                let m = crate::run_point_with(point, params, seed, c.repeats);
+                let r = &m.report;
+                Cell::Records(bandwidth(&m.series(), n, r.write_gib_s(), r.read_gib_s()))
+            })
+        })
+        .collect()
+}
+
+/// PFS contrast series, in per-scale job order.
+const PFS_SERIES: [&str; 4] = ["pfs-fpp", "pfs-shared", "daos-fpp", "daos-shared"];
+
+/// The same IOR workloads on the Lustre-like PFS and on DAOS, FPP and
+/// shared, at each scale.
+fn pfs_jobs(seed: u64, s: Scale) -> Vec<Job> {
+    let c = pfs_cells(s);
+    let mut jobs = Vec::new();
+    for &n in c.nodes {
+        for (kind, series) in PFS_SERIES.into_iter().enumerate() {
+            jobs.push(job(
+                format!("pfs/{series}/{n}n"),
+                ior_cost(n, c),
+                move || {
+                    let fpp = kind % 2 == 0;
+                    let (r, revokes) = if kind < 2 {
+                        pfs_point(seed, n, fpp, c.block, c.ppn)
+                    } else {
+                        // the DAOS side runs its own seed stream
+                        (daos_point(seed + 1, n, fpp, c.block, c.ppn), 0)
+                    };
+                    let mut f = bandwidth(series, n, r.write_gib_s(), r.read_gib_s());
+                    if series == "pfs-shared" {
+                        f.record(series, n, "lock_revokes", revokes as f64);
+                    }
+                    Cell::Records(f)
+                },
+            ));
+        }
+    }
+    jobs
+}
+
+fn io500_jobs(seed: u64, s: Scale) -> Vec<Job> {
+    let c = io500_cells(s);
+    let n = top(c.nodes);
+    // ior-easy + ior-hard
+    vec![job(format!("io500/{n}n"), 2 * ior_cost(n, c), move || {
+        let mut f = Fragment::new();
+        io500_point(&mut f, seed, n, c.ppn, c.block);
+        Cell::Records(f)
+    })]
+}
+
+/// One engine-crash timeline per protected class (EC 4+1 at full scale).
+fn fault_jobs(seed: u64, s: Scale) -> Vec<Job> {
+    let c = fault_cells(s);
+    let n = top(c.nodes);
+    protected_classes(s, 4, 1)
+        .into_iter()
+        .map(|class| {
+            // one write and four read passes
+            job(format!("fault/{class}"), 5 * ior_cost(n, c), move || {
+                Cell::Fault(fault_timeline(seed, class, n, c.ppn, c.block))
+            })
+        })
+        .collect()
+}
+
+/// Phase A: checksum overhead on IOR easy/hard, csum on and off. Phase
+/// B: bit rot detected by a client read and by the scrubber, per
+/// protected class (EC 2+1 at full scale).
+fn scrub_jobs(seed: u64, s: Scale) -> Vec<Job> {
+    let c = csum_cells(s);
+    let n = top(c.nodes);
+    let mut jobs = Vec::new();
+    for fpp in [true, false] {
+        for csum in [true, false] {
+            let (pattern, label) = if fpp {
+                ("easy", "easy-fpp-1m")
+            } else {
+                ("hard", "hard-shared-64k")
+            };
+            let state = if csum { "on" } else { "off" };
+            jobs.push(job(
+                format!("scrub/csum-{pattern}-{state}"),
+                ior_cost(n, c),
+                move || {
+                    let (w, r) = csum_overhead_point(seed, csum, fpp, n, c.ppn, c.block);
+                    let mut f = Fragment::new();
+                    f.record(label, n, &format!("write_csum_{state}"), w);
+                    f.record(label, n, &format!("read_csum_{state}"), r);
+                    Cell::Records(f)
+                },
+            ));
+        }
+    }
+    for class in protected_classes(s, 2, 1) {
+        for scrub in [false, true] {
+            let mode = if scrub { "scrubber" } else { "client-read" };
+            // 2 MiB written, rotted, re-read
+            jobs.push(job(format!("scrub/rot-{class}-{mode}"), 2, move || {
+                Cell::Rot(rot_timeline(class, scrub, seed ^ scrub as u64))
+            }));
+        }
+    }
+    jobs
+}
+
+fn traffic_jobs(_seed: u64, s: Scale) -> Vec<Job> {
+    let params = traffic_params(s);
+    let mut jobs = Vec::new();
+    for mode in traffic_modes() {
+        for &load in params.loads {
+            jobs.push(job(
+                format!("traffic/{}/{load}", mode.series()),
+                open_loop_cost(load, params.duration),
+                move || Cell::Traffic(traffic_point(mode, load, params)),
+            ));
+        }
+    }
+    jobs
+}
+
+fn qos_jobs(_seed: u64, s: Scale) -> Vec<Job> {
+    let params = qos_params(s);
+    let mut jobs = Vec::new();
+    for shaped in [true, false] {
+        let series = if shaped { "shaped" } else { "unshaped" };
+        for &load in params.loads {
+            jobs.push(job(
+                format!("qos/{series}/{load}"),
+                open_loop_cost(load, params.duration),
+                move || Cell::Qos(qos_point(shaped, load, params)),
+            ));
+        }
+    }
+    jobs
+}
+
+/// The DFS scale grid past the paper's reach: S2 (the small-scale write
+/// leader) vs SX (the contended-write leader) locates the R2 crossover;
+/// fpp vs shared locates the R5 shared-file asymptote.
+///
+/// The shared-file column runs SX only: S2 stripes one object over two
+/// targets, so a shared S2 file at thousands of ranks is a fixed-size
+/// funnel whose queueing delay grows with the client count until any
+/// finite RPC deadline trips — the same reason the paper's own
+/// shared-file runs use SX.
+fn scale_jobs(seed: u64, s: Scale) -> Vec<Job> {
+    let c = scale_cells(s);
+    let mut jobs = Vec::new();
+    for &n in c.nodes {
+        for (oclass, fpp) in [
+            (ObjectClass::S2, true),
+            (ObjectClass::SX, true),
+            (ObjectClass::SX, false),
+        ] {
+            let series = format!("DFS-{oclass}-{}", if fpp { "fpp" } else { "shared" });
+            jobs.push(job(
+                format!("scale/{series}/{n}n"),
+                ior_cost(n, c),
+                move || {
+                    let point = crate::ExperimentPoint {
+                        api: Api::Dfs,
+                        oclass,
+                        client_nodes: n,
+                    };
+                    let mut p = paper_params(Api::Dfs, oclass, fpp, c.ppn);
+                    p.block_size = c.block;
+                    let m = crate::run_point_in(scale_cluster(n), point, p, seed, c.repeats);
+                    let r = &m.report;
+                    Cell::Records(bandwidth(&series, n, r.write_gib_s(), r.read_gib_s()))
+                },
+            ));
+        }
+    }
+    jobs
+}
+
+// ---------------------------------------------------------------------
+// Checks
+// ---------------------------------------------------------------------
+
+fn invariant(rep: &mut Reporter, inv: InvariantResult) {
+    rep.check(
+        &format!("{}: {} — {}", inv.id, inv.desc, inv.detail),
+        inv.pass,
+    );
+}
+
+/// A metric from the report; NaN (which fails every comparison) when
+/// the cell is missing.
+fn get(report: &BenchReport, series: &str, n: u32, metric: &str) -> f64 {
+    report.get(series, n, metric).unwrap_or(f64::NAN)
+}
+
+fn check_fig1(rep: &mut Reporter, report: &BenchReport, _: &[Cell], s: Scale) {
+    invariant(rep, invariants::r1_s2_reads_best(report));
+    invariant(rep, invariants::r2_sx_write_crossover(report));
+    invariant(rep, invariants::r3_hdf5_dfuse_penalty(report));
+    if s != Scale::Full {
+        return;
+    }
+    let nodes = figure_cells(s).nodes;
+    let top = top(nodes);
+    let wr = |series, n| get(report, series, n, "write_gib_s");
+    let rd = |series, n| get(report, series, n, "read_gib_s");
+    rep.check(
+        "R2a: SX gives the best write bandwidth at the largest scale",
+        wr("DFS-SX", top) > wr("DFS-S2", top) && wr("DFS-SX", top) > wr("DFS-S1", top),
+    );
+    rep.check(
+        "R2b: SX writes are slower than S2 for few writers (1 node)",
+        wr("DFS-SX", 1) < wr("DFS-S2", 1),
+    );
+    rep.check(
+        "R1: S2 reads beat SX reads at the largest scale",
+        rd("DFS-S2", top) > rd("DFS-SX", top),
+    );
+    rep.check(
+        "R3a: MPI-IO over DFuse is close to the DFS API (write, all scales)",
+        nodes.iter().all(|&n| {
+            let ratio = wr("MPIIO-S2", n) / wr("DFS-S2", n);
+            ratio > 0.9 && ratio < 1.1
+        }),
+    );
+    rep.check(
+        "R3b: HDF5 over DFuse is below DFS/MPI-IO (write, small scales)",
+        wr("HDF5-S1", 1) < 0.95 * wr("MPIIO-S1", 1) && wr("HDF5-S1", 4) < 0.97 * wr("MPIIO-S1", 4),
+    );
+    rep.check(
+        "R3c: HDF5 over DFuse is below DFS/MPI-IO (read, small scales)",
+        rd("HDF5-S1", 1) < 0.95 * rd("MPIIO-S1", 1) && rd("HDF5-S1", 4) < 0.97 * rd("MPIIO-S1", 4),
+    );
+}
+
+fn check_fig2(rep: &mut Reporter, report: &BenchReport, _: &[Cell], s: Scale) {
+    invariant(rep, invariants::r4_shared_interface_parity(report));
+    if s != Scale::Full {
+        return;
+    }
+    let top = top(figure_cells(s).nodes);
+    let wr = |series| get(report, series, top, "write_gib_s");
+    let rd = |series| get(report, series, top, "read_gib_s");
+    rep.check(
+        "R4a: the DFS API gives the highest shared-file write bandwidth",
+        wr("DFS-SX") >= wr("MPIIO-SX") && wr("DFS-SX") >= wr("HDF5-SX"),
+    );
+    rep.check(
+        "R4b: interfaces are similar for the shared file (write, SX, ±15%)",
+        wr("MPIIO-SX") > 0.85 * wr("DFS-SX") && wr("HDF5-SX") > 0.85 * wr("DFS-SX"),
+    );
+    rep.check(
+        "R4c: MPI-IO and HDF5 over DFuse give good shared reads (±15% of DFS)",
+        rd("MPIIO-SX") > 0.85 * rd("DFS-SX") && rd("HDF5-SX") > 0.85 * rd("DFS-SX"),
+    );
+    rep.check(
+        "R5-part: a single shared S1/S2 file bottlenecks on its few targets \
+         (why shared files want wide classes)",
+        wr("DFS-S1") < 0.2 * wr("DFS-SX") && wr("DFS-S2") < 0.35 * wr("DFS-SX"),
+    );
+}
+
+fn check_pfs(rep: &mut Reporter, report: &BenchReport, _: &[Cell], s: Scale) {
+    invariant(rep, invariants::r5_pfs_collapse(report));
+    if s != Scale::Full {
+        return;
+    }
+    let top = top(pfs_cells(s).nodes);
+    let wr = |series| get(report, series, top, "write_gib_s");
+    let pfs = wr("pfs-shared") / wr("pfs-fpp");
+    let daos = wr("daos-shared") / wr("daos-fpp");
+    rep.check(
+        "R5: on DAOS shared ~= fpp while the PFS collapses on shared writes",
+        daos > 0.8 && pfs < 0.5,
+    );
+}
+
+fn check_io500(rep: &mut Reporter, report: &BenchReport, _: &[Cell], s: Scale) {
+    if s != Scale::Full {
+        return;
+    }
+    let n = top(io500_cells(s).nodes);
+    let total = get(report, "score", n, "io500");
+    rep.check(
+        "composite score is finite and positive",
+        total.is_finite() && total > 0.0,
+    );
+    rep.check(
+        "ior-hard tracks ior-easy on DAOS (the paper's headline, IO500 form)",
+        get(report, "ior-hard", n, "write_gib_s") > 0.5 * get(report, "ior-easy", n, "write_gib_s"),
+    );
+}
+
+fn check_fault(rep: &mut Reporter, _: &BenchReport, cells: &[Cell], _: Scale) {
+    for cell in cells {
+        if let Cell::Fault(t) = cell {
+            check_fault_timeline(rep, t);
+        }
+    }
+}
+
+fn check_scrub(rep: &mut Reporter, report: &BenchReport, cells: &[Cell], s: Scale) {
+    let n = top(csum_cells(s).nodes);
+    for label in ["easy-fpp-1m", "hard-shared-64k"] {
+        for phase in ["write", "read"] {
+            let on = get(report, label, n, &format!("{phase}_csum_on"));
+            let off = get(report, label, n, &format!("{phase}_csum_off"));
+            let ratio = if off > 0.0 { on / off } else { 0.0 };
+            rep.check(
+                &format!("{label}: csum-on {phase} bandwidth within 10% of csum-off ({ratio:.3})"),
+                ratio >= 0.90,
+            );
+        }
+    }
+    for cell in cells {
+        if let Cell::Rot(t) = cell {
+            check_rot_timeline(rep, t);
+        }
+    }
+}
+
+fn check_traffic(rep: &mut Reporter, report: &BenchReport, cells: &[Cell], _: Scale) {
+    for cell in cells {
+        if let Cell::Traffic(c) = cell {
+            check_traffic_cell(rep, c);
+        }
+    }
+    for inv in invariants::evaluate_traffic(report) {
+        invariant(rep, inv);
+    }
+}
+
+fn check_qos(rep: &mut Reporter, report: &BenchReport, cells: &[Cell], _: Scale) {
+    for cell in cells {
+        if let Cell::Qos(c) = cell {
+            check_qos_cell(rep, c);
+        }
+    }
+    for inv in invariants::evaluate_qos(report) {
+        invariant(rep, inv);
+    }
+}
+
+fn check_scale(rep: &mut Reporter, report: &BenchReport, _: &[Cell], _: Scale) {
+    for inv in invariants::evaluate_scale(report) {
+        invariant(rep, inv);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    fn names(selection: &[&Experiment]) -> BTreeSet<String> {
+        selection.iter().map(|e| e.name.to_string()).collect()
+    }
+
+    /// Names are unique, and the gate's selections are exactly the
+    /// committed baselines: adding a baseline or a registry entry
+    /// without the other fails here.
+    #[test]
+    fn regress_selection_matches_committed_baselines() {
+        let all = names(&REGISTRY.iter().collect::<Vec<_>>());
+        assert_eq!(all.len(), REGISTRY.len(), "duplicate registry name");
+
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/baselines");
+        let baselines: BTreeSet<String> = std::fs::read_dir(dir)
+            .expect("results/baselines")
+            .filter_map(|e| {
+                let name = e.ok()?.file_name().into_string().ok()?;
+                Some(
+                    name.strip_prefix("BENCH_")?
+                        .strip_suffix(".json")?
+                        .to_string(),
+                )
+            })
+            .collect();
+        assert_eq!(names(&regress_selection(true)), baselines);
+        let mut gate = baselines;
+        gate.remove("scale");
+        assert_eq!(names(&regress_selection(false)), gate);
+    }
+}

@@ -1,23 +1,19 @@
-//! Scale-parameterized figure runners, shared between the full-scale
-//! figure binaries and the reduced-scale `regress` harness.
+//! Figure cells: one seeded simulation each, shared by the experiment
+//! registry ([`crate::experiments`]) and the other bench binaries.
 //!
-//! Each runner executes one experiment at a caller-chosen scale, records
-//! its cells into any [`Record`] sink (a [`crate::report::BenchReport`]
-//! directly, or a [`crate::report::Fragment`] from a parallel slate
-//! job), and returns the raw measurements so
-//! binaries can keep their CSV/ASCII-chart output. Seeds are fixed per
-//! figure, so a reduced sweep's cells at a given node count are produced
-//! by the *same* simulations as the full figure's cells there (modulo the
-//! repeat count used for averaging).
+//! Each function here runs exactly one cell — an IOR sweep point's
+//! grid, a PFS or DAOS contrast run, the IO500 composite, a fault or
+//! bit-rot timeline, a checksum-overhead point — at caller-chosen
+//! parameters and returns (or records) its numbers. Which cells make up
+//! an experiment, at which scale, and how they are checked lives in the
+//! registry, once.
 
 use std::rc::Rc;
 
 use daos_core::{Cluster, ClusterConfig, DaosClient, RetryPolicy};
 use daos_dfs::DfsConfig;
 use daos_dfuse::DfuseConfig;
-use daos_ior::{
-    mdtest, run, run_pfs, Api, DaosTestbed, IorParams, IorReport, MdBackend, MdtestReport,
-};
+use daos_ior::{mdtest, run, run_pfs, Api, DaosTestbed, IorParams, IorReport, MdBackend};
 use daos_pfs::{Pfs, PfsConfig};
 use daos_placement::{ObjectClass, ObjectId};
 use daos_sim::executor::join_all;
@@ -27,14 +23,9 @@ use daos_sim::units::{gib_per_sec, KIB, MIB};
 use daos_sim::Sim;
 use daos_vos::Payload;
 
-use crate::exec::Slate;
-use crate::report::{config_hash, Record};
-use crate::{paper_cluster, paper_params, run_sweep, ExperimentPoint, Measurement};
+use crate::report::Record;
+use crate::{paper_cluster, paper_params, ExperimentPoint};
 
-/// The figure binaries' full scale axis.
-pub const FULL_NODES: [u32; 5] = [1, 2, 4, 8, 16];
-/// The reduced CI axis: the two scales every R1–R5 invariant reads.
-pub const REDUCED_NODES: [u32; 2] = [1, 16];
 /// Averaged placements per point at full scale (IOR `-i`).
 pub const FULL_REPEATS: u64 = 5;
 /// Placements per point at reduced scale. One is enough for the CI
@@ -84,59 +75,10 @@ pub fn figure_classes() -> [ObjectClass; 3] {
     [ObjectClass::S1, ObjectClass::S2, ObjectClass::SX]
 }
 
-pub(crate) fn record_sweep(report: &mut impl Record, ms: &[Measurement], top_nodes: u32) {
-    report.set_config_hash(config_hash(&paper_cluster(top_nodes)));
-    for m in ms {
-        report.record(
-            &m.series(),
-            m.point.client_nodes,
-            "write_gib_s",
-            m.report.write_gib_s(),
-        );
-        report.record(
-            &m.series(),
-            m.point.client_nodes,
-            "read_gib_s",
-            m.report.read_gib_s(),
-        );
-    }
-}
-
 /// Figure 1's root seed (each cell salts it with scale and repeat).
 pub const FIG1_SEED: u64 = 0xF161;
 /// Figure 2's root seed.
 pub const FIG2_SEED: u64 = 0xF162;
-
-/// Figure 1 (IOR file-per-process) over the given scale axis.
-pub fn run_fig1(report: &mut impl Record, nodes: &[u32], repeats: u64) -> Vec<Measurement> {
-    let points = grid_points(&figure_apis(), &figure_classes(), nodes);
-    let ms = run_sweep(points, true, PPN, FIG1_SEED, repeats);
-    record_sweep(report, &ms, *nodes.iter().max().unwrap());
-    ms
-}
-
-/// Figure 2 (IOR shared-file) over the given scale axis.
-pub fn run_fig2(report: &mut impl Record, nodes: &[u32], repeats: u64) -> Vec<Measurement> {
-    let points = grid_points(&figure_apis(), &figure_classes(), nodes);
-    let ms = run_sweep(points, false, PPN, FIG2_SEED, repeats);
-    record_sweep(report, &ms, *nodes.iter().max().unwrap());
-    ms
-}
-
-// ---------------------------------------------------------------------
-// Beyond the paper's scale: 64-512 client nodes
-// ---------------------------------------------------------------------
-
-/// Scale axis past the paper's testbed (its figures stop at 16 client
-/// nodes / 8 servers).
-pub const SCALE_NODES: [u32; 4] = [64, 128, 256, 512];
-/// Root seed for the beyond-paper scale sweep.
-pub const SCALE_SEED: u64 = 0x5CA1E;
-/// Per-rank block at scale. The figure reads per-node bandwidth *trends*
-/// (crossover, asymptote), which converge well below the paper's
-/// 32 MiB per rank; weak-scaling the aggregate with a 4 MiB per-rank
-/// block keeps 512 nodes x 16 ppn tractable.
-pub const SCALE_BLOCK: u64 = 4 << 20;
 
 /// Weak-scaled testbed past the paper: hold the paper's 2:1
 /// client:server node ratio (16 clients on 8 servers) as the client axis
@@ -150,106 +92,20 @@ pub fn scale_cluster(client_nodes: u32) -> ClusterConfig {
     c
 }
 
-/// The DFS scale grid past the paper's reach: S2 (the small-scale write
-/// leader) vs SX (the contended-write leader) locates the R2 crossover;
-/// fpp vs shared locates the R5 shared-file asymptote. One slate job per
-/// cell, heaviest (largest node count) first; reduction order is the
-/// submission order so reports are byte-identical at any thread count.
-///
-/// The shared-file column runs SX only: S2 stripes one object over two
-/// targets, so a shared S2 file at thousands of ranks is a fixed-size
-/// funnel whose queueing delay grows with the client count until any
-/// finite RPC deadline trips — the same reason the paper's own
-/// shared-file runs use SX.
-pub fn run_scale_sweep(
-    report: &mut impl Record,
-    nodes: &[u32],
-    threads: usize,
-    repeats: u64,
-) -> Vec<(String, Measurement)> {
-    let mut slate = Slate::new();
-    let mut order = Vec::new();
-    for &n in nodes.iter().rev() {
-        for fpp in [true, false] {
-            for oclass in [ObjectClass::S2, ObjectClass::SX] {
-                if !fpp && oclass == ObjectClass::S2 {
-                    continue;
-                }
-                let point = ExperimentPoint {
-                    api: Api::Dfs,
-                    oclass,
-                    client_nodes: n,
-                };
-                let suffix = if fpp { "fpp" } else { "shared" };
-                order.push(suffix);
-                slate.push(format!("scale/DFS-{oclass}-{suffix}/{n}n"), move || {
-                    let mut p = paper_params(Api::Dfs, oclass, fpp, PPN);
-                    p.block_size = SCALE_BLOCK;
-                    crate::run_point_in(scale_cluster(n), point, p, SCALE_SEED, repeats)
-                });
-            }
-        }
-    }
-    let cells = slate
-        .run(threads)
-        .unwrap_or_else(|p| panic!("scale sweep {p}"));
-    report.set_config_hash(config_hash(&scale_cluster(
-        *nodes.iter().max().expect("non-empty scale axis"),
-    )));
-    let mut out = Vec::new();
-    for (cell, suffix) in cells.into_iter().zip(order) {
-        let m = cell.value;
-        let series = format!("{}-{suffix}", m.series());
-        report.record(
-            &series,
-            m.point.client_nodes,
-            "write_gib_s",
-            m.report.write_gib_s(),
-        );
-        report.record(
-            &series,
-            m.point.client_nodes,
-            "read_gib_s",
-            m.report.read_gib_s(),
-        );
-        out.push((series, m));
-    }
-    out
-}
-
 // ---------------------------------------------------------------------
 // PFS contrast
 // ---------------------------------------------------------------------
 
-/// One scale point of the "stark contrast" experiment.
-pub struct PfsContrastRow {
-    pub nodes: u32,
-    pub pfs_fpp: IorReport,
-    pub pfs_shared: IorReport,
-    /// LDLM extent-lock revokes during the shared PFS run.
-    pub revokes: u64,
-    pub daos_fpp: IorReport,
-    pub daos_shared: IorReport,
-}
-
-impl PfsContrastRow {
-    /// Shared/FPP write ratios: (pfs, daos). 1.0 = no shared-file penalty.
-    pub fn ratios(&self) -> (f64, f64) {
-        (
-            self.pfs_shared.write_gib_s() / self.pfs_fpp.write_gib_s(),
-            self.daos_shared.write_gib_s() / self.daos_fpp.write_gib_s(),
-        )
-    }
-}
-
-/// Per-rank block size of the contrast cells (lock ping-pong makes big
-/// runs slow); smoke-scale runs pass something smaller.
-pub const PFS_BLOCK: u64 = 16 << 20;
-
 /// One PFS cell: IOR on the Lustre-like filesystem, returning the run
 /// report and the LDLM extent-lock revoke count.
-pub(crate) fn pfs_point(nodes: u32, fpp: bool, block: u64, ppn: u32) -> (IorReport, u64) {
-    let mut sim = Sim::new(0x1F5 ^ nodes as u64);
+pub(crate) fn pfs_point(
+    seed: u64,
+    nodes: u32,
+    fpp: bool,
+    block: u64,
+    ppn: u32,
+) -> (IorReport, u64) {
+    let mut sim = Sim::new(seed ^ nodes as u64);
     sim.block_on(move |sim| async move {
         let fs = Pfs::build(PfsConfig {
             client_nodes: nodes,
@@ -263,9 +119,9 @@ pub(crate) fn pfs_point(nodes: u32, fpp: bool, block: u64, ppn: u32) -> (IorRepo
     })
 }
 
-/// One DAOS cell of the contrast experiment.
-pub(crate) fn daos_point(nodes: u32, fpp: bool, block: u64, ppn: u32) -> IorReport {
-    let mut sim = Sim::new(0x1F6 ^ nodes as u64);
+/// One DAOS cell of the contrast experiment (DFS, SX).
+pub(crate) fn daos_point(seed: u64, nodes: u32, fpp: bool, block: u64, ppn: u32) -> IorReport {
+    let mut sim = Sim::new(seed ^ nodes as u64);
     sim.block_on(move |sim| async move {
         let env = DaosTestbed::setup(
             &sim,
@@ -281,102 +137,15 @@ pub(crate) fn daos_point(nodes: u32, fpp: bool, block: u64, ppn: u32) -> IorRepo
     })
 }
 
-/// The same IOR workloads on DAOS and on the Lustre-like PFS, FPP and
-/// shared, at each scale. Rows run as independent jobs on the shared
-/// slate executor (four seeded sims per scale, one per cell).
-pub fn run_pfs_contrast(report: &mut impl Record, nodes: &[u32]) -> Vec<PfsContrastRow> {
-    run_pfs_contrast_sized(report, nodes, crate::exec::threads(), PFS_BLOCK, PPN)
-}
-
-/// [`run_pfs_contrast`] with explicit thread count, block size and ppn —
-/// the schedule-independence tests drive this directly at several thread
-/// counts and a smoke scale.
-pub fn run_pfs_contrast_sized(
-    report: &mut impl Record,
-    nodes: &[u32],
-    threads: usize,
-    block: u64,
-    ppn: u32,
-) -> Vec<PfsContrastRow> {
-    // per scale, in submission order: pfs-fpp, pfs-shared, daos-fpp,
-    // daos-shared — the reducer below reassembles rows in chunks of 4
-    let mut slate = Slate::new();
-    for &n in nodes {
-        for fpp in [true, false] {
-            slate.push(
-                format!(
-                    "pfs_contrast/pfs-{}/{n}n",
-                    if fpp { "fpp" } else { "shared" }
-                ),
-                move || pfs_point(n, fpp, block, ppn),
-            );
-        }
-        for fpp in [true, false] {
-            slate.push(
-                format!(
-                    "pfs_contrast/daos-{}/{n}n",
-                    if fpp { "fpp" } else { "shared" }
-                ),
-                move || {
-                    let r = daos_point(n, fpp, block, ppn);
-                    (r, 0u64)
-                },
-            );
-        }
-    }
-    let cells = slate
-        .run(threads)
-        .unwrap_or_else(|p| panic!("pfs contrast {p}"));
-
-    let mut rows = Vec::new();
-    for (&n, chunk) in nodes.iter().zip(cells.chunks_exact(4)) {
-        let row = PfsContrastRow {
-            nodes: n,
-            pfs_fpp: chunk[0].value.0,
-            pfs_shared: chunk[1].value.0,
-            revokes: chunk[1].value.1,
-            daos_fpp: chunk[2].value.0,
-            daos_shared: chunk[3].value.0,
-        };
-        for (series, rep) in [
-            ("pfs-fpp", &row.pfs_fpp),
-            ("pfs-shared", &row.pfs_shared),
-            ("daos-fpp", &row.daos_fpp),
-            ("daos-shared", &row.daos_shared),
-        ] {
-            report.record(series, n, "write_gib_s", rep.write_gib_s());
-            report.record(series, n, "read_gib_s", rep.read_gib_s());
-        }
-        report.record("pfs-shared", n, "lock_revokes", row.revokes as f64);
-        rows.push(row);
-    }
-    report.set_config_hash(config_hash(&paper_cluster(*nodes.iter().max().unwrap())));
-    rows
-}
-
 // ---------------------------------------------------------------------
 // IO500-style composite
 // ---------------------------------------------------------------------
 
-/// One IO500-style run: easy/hard IOR phases, mdtest, geometric means.
-pub struct Io500Result {
-    pub easy: IorReport,
-    pub hard: IorReport,
-    pub md: MdtestReport,
-    pub bw_score: f64,
-    pub md_score: f64,
-    pub total: f64,
-}
-
-/// ior-easy + ior-hard + mdtest-easy, combined with the IO500 geometric
-/// mean, at one scale.
-pub fn run_io500(report: &mut impl Record, nodes: u32, ppn: u32) -> Io500Result {
-    run_io500_sized(report, nodes, ppn, 16 << 20)
-}
-
-/// [`run_io500`] with an explicit per-rank block size (smoke scale).
-pub fn run_io500_sized(report: &mut impl Record, nodes: u32, ppn: u32, block: u64) -> Io500Result {
-    let mut sim = Sim::new(0x10500);
+/// ior-easy + ior-hard + mdtest-easy at one scale, combined with the
+/// IO500 geometric mean; every phase rate and score is recorded at
+/// scale `nodes`.
+pub fn io500_point(report: &mut impl Record, seed: u64, nodes: u32, ppn: u32, block: u64) {
+    let mut sim = Sim::new(seed);
     let (easy, hard, md) = sim.block_on(move |sim| async move {
         let env = DaosTestbed::setup(
             &sim,
@@ -423,7 +192,6 @@ pub fn run_io500_sized(report: &mut impl Record, nodes: u32, ppn: u32, block: u6
     ]);
     let total = (bw_score * md_score).sqrt();
 
-    report.set_config_hash(config_hash(&paper_cluster(nodes)));
     report.record("ior-easy", nodes, "write_gib_s", easy.write_gib_s());
     report.record("ior-easy", nodes, "read_gib_s", easy.read_gib_s());
     report.record("ior-hard", nodes, "write_gib_s", hard.write_gib_s());
@@ -434,15 +202,6 @@ pub fn run_io500_sized(report: &mut impl Record, nodes: u32, ppn: u32, block: u6
     report.record("score", nodes, "bw_gib_s", bw_score);
     report.record("score", nodes, "md_kiops", md_score);
     report.record("score", nodes, "io500", total);
-
-    Io500Result {
-        easy,
-        hard,
-        md,
-        bw_score,
-        md_score,
-        total,
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -468,8 +227,14 @@ pub struct FaultTimeline {
 
 /// Run the engine-failure timeline for one object class: healthy write +
 /// read, crash, degraded reads, rebuild, reintegration.
-pub fn fault_timeline(class: ObjectClass, nodes: u32, ppn: u32, per_rank: u64) -> FaultTimeline {
-    let mut sim = Sim::new(0xFA17);
+pub fn fault_timeline(
+    seed: u64,
+    class: ObjectClass,
+    nodes: u32,
+    ppn: u32,
+    per_rank: u64,
+) -> FaultTimeline {
+    let mut sim = Sim::new(seed);
     sim.block_on(move |sim| async move {
         let cluster = Cluster::build(&sim, paper_cluster(nodes));
         let ranks = nodes * ppn;
@@ -638,19 +403,15 @@ pub fn check_fault_timeline(rep: &mut crate::Reporter, t: &FaultTimeline) {
 /// with the checksum engine on or off; scrubber disabled so the ratio
 /// isolates the verify-on-write / csum-on-fetch cost. Returns
 /// (write GiB/s, read GiB/s).
-pub fn csum_overhead_point(csum: bool, fpp: bool, nodes: u32, ppn: u32) -> (f64, f64) {
-    csum_overhead_point_sized(csum, fpp, nodes, ppn, 8 * MIB)
-}
-
-/// [`csum_overhead_point`] with an explicit per-rank block (smoke scale).
-pub fn csum_overhead_point_sized(
+pub fn csum_overhead_point(
+    seed: u64,
     csum: bool,
     fpp: bool,
     nodes: u32,
     ppn: u32,
     block: u64,
 ) -> (f64, f64) {
-    let mut sim = Sim::new(0x5C2B);
+    let mut sim = Sim::new(seed);
     sim.block_on(move |sim| async move {
         let mut cfg = paper_cluster(nodes);
         cfg.engine.vos.csum_enabled = csum;

@@ -2,7 +2,7 @@
 //! invariants over [`BenchReport`]s.
 //!
 //! These are the orderings and crossovers *"DAOS as HPC Storage: Exploring
-//! Interfaces"* reports and `EXPERIMENTS.md` reproduces; the `regress`
+//! Interfaces"* reports and `EXPERIMENTS.md` reproduces; the `bench regress`
 //! harness evaluates them on every run so no PR can silently invert a
 //! figure even if each individual number stays inside its tolerance band.
 //! Each predicate reads the smallest and largest scales present in the

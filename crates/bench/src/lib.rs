@@ -1,8 +1,10 @@
 //! # daos-bench — experiment harness for the paper's evaluation
 //!
-//! Each binary in `src/bin/` regenerates one figure or table from
-//! *DAOS as HPC Storage: Exploring Interfaces* (CLUSTER 2023); this library
-//! holds the shared sweep and reporting machinery:
+//! The [`experiments`] registry defines every figure and sweep the
+//! findings of *DAOS as HPC Storage: Exploring Interfaces* (CLUSTER 2023)
+//! rest on, once; the `bench` binary runs it (`bench run <name>`,
+//! `bench regress`). The other binaries in `src/bin/` are standalone
+//! studies. This library holds the shared machinery:
 //!
 //! * [`ExperimentPoint`] — one (api, object class, client-node count) cell;
 //! * [`exec`] — the deterministic parallel job runner: an ordered
@@ -10,21 +12,17 @@
 //!   threads with results reduced **in submission order**, so every
 //!   artifact is byte-identical at any thread count (`--threads` /
 //!   `BENCH_THREADS`; `1` = serial);
-//! * [`run_sweep`] — executes every point as slate jobs (one
+//! * [`run_sweep`] — executes a list of points as slate jobs (one
 //!   deterministic `Sim` per point — simulations are independent, so
 //!   this is the embarrassingly parallel axis);
-//! * [`slate`] — the `regress` gate's full job slate (every reduced
-//!   figure decomposed into independent cells) plus its per-job
-//!   wall-time accounting;
-//! * [`figures`] — scale-parameterized runners for every figure, shared
-//!   between the full binaries and the reduced-scale `regress` harness;
+//! * [`figures`] — the seeded cell runners the registry's jobs call;
 //! * [`Reporter`] — per-binary ledger: records metrics into a
 //!   schema-versioned [`report::BenchReport`] (written as
 //!   `BENCH_<name>.json`), counts PASS/FAIL shape checks, and gates the
 //!   process exit code so every binary fails loudly in CI;
 //! * [`baseline`] — tolerance-band comparison against committed baselines;
-//! * [`invariants`] — the paper's R1–R5 qualitative results as
-//!   machine-checked predicates;
+//! * [`invariants`] — the paper's qualitative results (R1–R11, R2x, R5x)
+//!   as machine-checked predicates;
 //! * CSV emission and a terminal ASCII chart so the figure's *shape* is
 //!   visible without leaving the shell.
 
@@ -44,11 +42,11 @@ use daos_sim::Sim;
 
 pub mod baseline;
 pub mod exec;
+pub mod experiments;
 pub mod figures;
 pub mod invariants;
 pub mod qos;
 pub mod report;
-pub mod slate;
 pub mod traffic;
 
 use report::BenchReport;
@@ -238,18 +236,51 @@ pub fn series_table(ms: &[Measurement], read: bool) -> BTreeMap<String, BTreeMap
     out
 }
 
-/// Render a rough ASCII chart (one row per series per scale).
-pub fn print_ascii_chart(title: &str, ms: &[Measurement], read: bool) {
-    let table = series_table(ms, read);
-    let max = table
-        .values()
-        .flat_map(|s| s.values())
-        .fold(0.0f64, |a, &b| a.max(b))
+/// Print a report as CSV, one `series,scale,<metrics>` header per run of
+/// rows sharing a metric set (integral values without decimals).
+pub fn print_table(report: &BenchReport) {
+    println!("# {}", report.name);
+    let mut header = String::new();
+    for (series, scales) in &report.series {
+        for (scale, metrics) in scales {
+            let names: Vec<&str> = metrics.keys().map(String::as_str).collect();
+            let names = names.join(",");
+            if names != header {
+                println!("series,scale,{names}");
+                header = names;
+            }
+            let values: Vec<String> = metrics
+                .values()
+                .map(|&v| {
+                    if v.fract() == 0.0 && v.abs() < 1e15 {
+                        format!("{v:.0}")
+                    } else {
+                        format!("{v:.3}")
+                    }
+                })
+                .collect();
+            println!("{series},{scale},{}", values.join(","));
+        }
+    }
+}
+
+/// Render a rough ASCII chart of a figure report's read or write
+/// bandwidth (one row per series per scale).
+pub fn print_ascii_chart(title: &str, report: &BenchReport, read: bool) {
+    let metric = if read { "read_gib_s" } else { "write_gib_s" };
+    let max = report
+        .cells()
+        .iter()
+        .filter(|c| c.2 == metric)
+        .fold(0.0f64, |a, c| a.max(c.3))
         .max(1e-9);
     println!("\n== {title} ({}) ==", if read { "read" } else { "write" });
-    for (series, pts) in &table {
+    for (series, scales) in &report.series {
         println!("{series}");
-        for (nodes, bw) in pts {
+        for (nodes, metrics) in scales {
+            let Some(&bw) = metrics.get(metric) else {
+                continue;
+            };
             let bar = "#".repeat(((bw / max) * 50.0).round() as usize);
             println!("  {nodes:>3} nodes | {bar:<50} {bw:7.2} GiB/s");
         }
@@ -281,11 +312,6 @@ impl Reporter {
         }
     }
 
-    /// The report being accumulated (figure runners record into this).
-    pub fn report_mut(&mut self) -> &mut BenchReport {
-        &mut self.report
-    }
-
     /// Record one metric value directly.
     pub fn record(&mut self, series: &str, scale: u32, metric: &str, value: f64) {
         self.report.record(series, scale, metric, value);
@@ -307,8 +333,9 @@ impl Reporter {
         self.failed
     }
 
-    /// Stamp the wall time and hand back the report (used by `regress`,
-    /// which aggregates several reports before deciding its exit code).
+    /// Stamp the wall time and hand back the report (used by `bench
+    /// regress`, which aggregates several reports before deciding its
+    /// exit code).
     pub fn into_report(mut self) -> BenchReport {
         self.report.wall_secs = self.start.elapsed().as_secs_f64();
         self.report

@@ -91,7 +91,7 @@ pub struct QosSweepParams {
 }
 
 impl QosSweepParams {
-    /// Full scale for the standalone `qos_sweep` binary: the CI gate's
+    /// Full scale (`bench run qos_sweep`): the CI gate's
     /// window with the whole 4-point load axis (so the 150/300 cells
     /// are byte-identical to the gate's).
     pub fn full() -> Self {

@@ -1,6 +1,6 @@
 //! Machine-readable benchmark reports: `BENCH_<name>.json`.
 //!
-//! Every figure binary (and the `regress` harness) distills its run into a
+//! Every experiment (and every other bench binary) distills its run into a
 //! [`BenchReport`]: a schema-versioned map of *series → scale → metrics*
 //! plus the provenance needed to reproduce it (sim seed, a hash of the
 //! cluster config, host wall time). Reports round-trip through a small
@@ -480,23 +480,17 @@ impl<'a> Parser<'a> {
 // Recording sinks: reports and parallel-job fragments
 // ---------------------------------------------------------------------
 
-/// Anything metrics can be recorded into: a [`BenchReport`] directly
-/// (the serial path) or a [`Fragment`] produced by one parallel job and
-/// merged later. Figure runners take `&mut impl Record`, so the same
-/// runner body serves both execution modes.
+/// Anything metrics can be recorded into: a [`BenchReport`] directly or
+/// a [`Fragment`] produced by one parallel job and merged later. Cell
+/// recorders take `&mut impl Record`, so the same body serves both.
 pub trait Record {
     /// Record one metric value for a (series, scale) cell.
     fn record(&mut self, series: &str, scale: u32, metric: &str, value: f64);
-    /// Stamp the testbed config hash ([`config_hash`]).
-    fn set_config_hash(&mut self, hash: u64);
 }
 
 impl Record for BenchReport {
     fn record(&mut self, series: &str, scale: u32, metric: &str, value: f64) {
         BenchReport::record(self, series, scale, metric, value);
-    }
-    fn set_config_hash(&mut self, hash: u64) {
-        self.config_hash = hash;
     }
 }
 
@@ -510,8 +504,6 @@ impl Record for BenchReport {
 pub struct Fragment {
     /// `(series, scale, metric, value)` in record order.
     pub records: Vec<(String, u32, String, f64)>,
-    /// Config hash, when the job knows the testbed it ran on.
-    pub config_hash: Option<u64>,
 }
 
 impl Fragment {
@@ -520,14 +512,10 @@ impl Fragment {
         Self::default()
     }
 
-    /// Replay this fragment's records (and config hash, if any) into a
-    /// report or another sink.
+    /// Replay this fragment's records into a report or another sink.
     pub fn replay_into(&self, sink: &mut impl Record) {
         for (series, scale, metric, value) in &self.records {
             sink.record(series, *scale, metric, *value);
-        }
-        if let Some(h) = self.config_hash {
-            sink.set_config_hash(h);
         }
     }
 }
@@ -536,9 +524,6 @@ impl Record for Fragment {
     fn record(&mut self, series: &str, scale: u32, metric: &str, value: f64) {
         self.records
             .push((series.to_string(), scale, metric.to_string(), value));
-    }
-    fn set_config_hash(&mut self, hash: u64) {
-        self.config_hash = Some(hash);
     }
 }
 

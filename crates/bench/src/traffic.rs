@@ -150,7 +150,7 @@ pub struct TrafficParams {
 }
 
 impl TrafficParams {
-    /// Full scale for the standalone `traffic_sweep` binary.
+    /// Full scale (`bench run traffic_sweep`).
     pub fn full() -> Self {
         TrafficParams {
             client_nodes: 4,

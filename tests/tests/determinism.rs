@@ -7,7 +7,7 @@
 //! (client → fabric → engine → VOS → media with checksums charged) and
 //! the scrub/targeted-repair path added with the integrity model. They
 //! intentionally share machinery (`run_point_with`, `rot_timeline`) and
-//! seeds with the `regress` gate, so a nondeterminism bug that would
+//! seeds with the `bench regress` gate, so a nondeterminism bug that would
 //! make CI flaky fails here first, with a readable diff.
 
 use daos_bench::figures::{record_rot_timeline, rot_timeline, REDUCED_REPEATS};
@@ -18,7 +18,7 @@ use daos_placement::ObjectClass;
 
 /// The reduced sweep's 1-node Figure-1 cell (DFS-S2, file-per-process),
 /// at a CI-friendly volume: same testbed, seed salting and repeat
-/// averaging as `regress`, smaller per-rank block.
+/// averaging as `bench regress`, smaller per-rank block.
 fn figure_cell_json() -> String {
     let point = ExperimentPoint {
         api: Api::Dfs,
@@ -35,7 +35,7 @@ fn figure_cell_json() -> String {
     report.to_json()
 }
 
-/// The `regress` scrub-mode rot cell: bit-rot injected on the busiest
+/// The `bench regress` scrub-mode rot cell: bit-rot injected on the busiest
 /// target, detected by the background scrubber, healed by targeted
 /// repair — the PR 2 paths the chaos determinism proptest never drives.
 fn scrub_repair_json() -> (String, u64) {
