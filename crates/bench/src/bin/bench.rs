@@ -1,7 +1,8 @@
 //! **The experiment driver**: runs entries of the experiment registry
 //! ([`daos_bench::experiments`]) — the paper's Figures 1–2, the PFS
-//! "stark contrast", the IO500 composite, and the fault, scrub, overload,
-//! QoS and beyond-paper scale sweeps.
+//! "stark contrast", the IO500 composite, the fault, scrub, overload,
+//! QoS and beyond-paper scale sweeps, and the studies of the paper's
+//! follow-up questions.
 //!
 //! ```text
 //! bench run <name>... [--reduced] [--threads N]
@@ -15,9 +16,11 @@
 //! `BENCH_<name>.json` to `$DAOS_BENCH_OUT` (else `results/` when run
 //! from the repo root), and exits 1 if any check failed. Names:
 //! `fig1_fpp fig2_shared pfs_contrast io500 fault_sweep scrub_sweep
-//! traffic_sweep qos_sweep scale`.
+//! traffic_sweep qos_sweep scale`, and the studies `oclass_sweep daos_api
+//! protection_sweep dfuse_ablation mdtest_bench app_workloads` (one scale:
+//! `--reduced` runs them whole).
 //!
-//! `bench regress` is the CI perf gate: every non-nightly experiment at
+//! `bench regress` is the CI perf gate: every gate-tier experiment at
 //! reduced scale on one slate, each fresh report diffed against
 //! `results/baselines/`, plus every experiment's checks; nonzero exit on
 //! any tolerance or check violation. The simulator is deterministic and
@@ -25,6 +28,7 @@
 //! baselines exactly at any thread count.
 //!
 //! * `--nightly` adds the beyond-paper `scale` tier (64–512 nodes).
+//!   Studies never join the gate.
 //! * `--update` rewrites the baselines; it refuses a dirty working tree
 //!   (baselines must be reproducible from a commit) unless `--allow-dirty`.
 //! * `--compare-only` skips the simulations and re-diffs the reports a

@@ -1,19 +1,21 @@
-//! Figure cells: one seeded simulation each, shared by the experiment
-//! registry ([`crate::experiments`]) and the other bench binaries.
+//! Figure and study cells: one seeded simulation each, run by the
+//! experiment registry ([`crate::experiments`]).
 //!
 //! Each function here runs exactly one cell — an IOR sweep point's
 //! grid, a PFS or DAOS contrast run, the IO500 composite, a fault or
-//! bit-rot timeline, a checksum-overhead point — at caller-chosen
-//! parameters and returns (or records) its numbers. Which cells make up
+//! bit-rot timeline, a checksum-overhead point, a protection or DFuse
+//! ablation point, an mdtest storm, an application workload — at
+//! caller-chosen parameters and returns (or records) its numbers. Which cells make up
 //! an experiment, at which scale, and how they are checked lives in the
 //! registry, once.
 
 use std::rc::Rc;
 
 use daos_core::{Cluster, ClusterConfig, DaosClient, RetryPolicy};
-use daos_dfs::DfsConfig;
-use daos_dfuse::DfuseConfig;
-use daos_ior::{mdtest, run, run_pfs, Api, DaosTestbed, IorParams, IorReport, MdBackend};
+use daos_dfs::{Dfs, DfsConfig};
+use daos_dfuse::{DfuseConfig, DfuseMount};
+use daos_ior::{mdtest, mdtest_pfs, run, run_pfs, Api, DaosTestbed, IorParams, IorReport};
+use daos_ior::{MdBackend, MdtestReport};
 use daos_pfs::{Pfs, PfsConfig};
 use daos_placement::{ObjectClass, ObjectId};
 use daos_sim::executor::join_all;
@@ -22,6 +24,8 @@ use daos_sim::time::SimDuration;
 use daos_sim::units::{gib_per_sec, KIB, MIB};
 use daos_sim::Sim;
 use daos_vos::Payload;
+use daos_workloads::{checkpoint, nwp, producer_consumer, Access, RankAccess};
+use daos_workloads::{WorkloadParams, WorkloadReport};
 
 use crate::report::Record;
 use crate::{paper_cluster, paper_params, ExperimentPoint};
@@ -35,18 +39,6 @@ pub const REDUCED_REPEATS: u64 = 1;
 
 /// Processes per client node in every figure sweep (the paper's layout).
 pub const PPN: u32 = 16;
-
-/// Repeat count for the standalone sweep binaries (`oclass_sweep`,
-/// `daos_api`, `calibrate`, …): the `BENCH_REPEATS` environment variable
-/// overrides — CI smoke runs set `BENCH_REPEATS=1` to get
-/// [`REDUCED_REPEATS`]-scale runs consistently — else [`FULL_REPEATS`].
-pub fn sweep_repeats() -> u64 {
-    std::env::var("BENCH_REPEATS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(FULL_REPEATS)
-}
 
 /// Cross product of the paper's interface × object-class grid.
 pub fn grid_points(apis: &[Api], classes: &[ObjectClass], nodes: &[u32]) -> Vec<ExperimentPoint> {
@@ -583,4 +575,229 @@ pub fn check_rot_timeline(rep: &mut crate::Reporter, t: &RotTimeline) {
             t.clean,
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// Data protection (RP/EC cost and degraded reads)
+// ---------------------------------------------------------------------
+
+/// One IOR run (DFS, file-per-process) with a protected or sharded
+/// class. Returns (write GiB/s, read GiB/s).
+pub(crate) fn protection_point(
+    seed: u64,
+    class: ObjectClass,
+    nodes: u32,
+    ppn: u32,
+    block: u64,
+) -> (f64, f64) {
+    let mut sim = Sim::new(seed);
+    sim.block_on(move |sim| async move {
+        let env = DaosTestbed::setup(
+            &sim,
+            paper_cluster(nodes),
+            DfsConfig::default(),
+            DfuseConfig::default(),
+        )
+        .await
+        .expect("testbed");
+        let mut p = paper_params(Api::Dfs, class, true, ppn);
+        p.block_size = block;
+        let rep = run(&sim, &env, p).await.expect("run");
+        (rep.write_gib_s(), rep.read_gib_s())
+    })
+}
+
+/// Degraded read: write through stable handles, exclude `target`, read
+/// the *same* handles (layout cached pre-failure, like an application
+/// holding open files through a failure). Returns (healthy read GiB/s,
+/// degraded read GiB/s).
+pub(crate) fn degraded_point(
+    seed: u64,
+    class: ObjectClass,
+    target: u32,
+    nodes: u32,
+    ppn: u32,
+    per_rank: u64,
+) -> (f64, f64) {
+    let mut sim = Sim::new(seed);
+    sim.block_on(move |sim| async move {
+        let env = DaosTestbed::setup(
+            &sim,
+            paper_cluster(nodes),
+            DfsConfig::default(),
+            DfuseConfig::default(),
+        )
+        .await
+        .expect("testbed");
+        let ranks = nodes * ppn;
+        let arrays: Vec<_> = (0..ranks)
+            .map(|r| {
+                env.containers[(r / ppn) as usize]
+                    .object(ObjectId::new(0xDE6, r as u64), class)
+                    .array(MIB)
+            })
+            .collect();
+        // healthy write + read
+        let futs: Vec<_> = arrays
+            .iter()
+            .enumerate()
+            .map(|(r, a)| {
+                let a = a.clone();
+                let sim = sim.clone();
+                async move {
+                    for k in 0..per_rank / MIB {
+                        a.write(&sim, k * MIB, Payload::pattern(r as u64, MIB))
+                            .await
+                            .expect("write");
+                    }
+                }
+            })
+            .collect();
+        join_all(&sim, futs).await;
+        let read_all = |arrays: Vec<daos_core::ArrayHandle>, sim: Sim| async move {
+            let t0 = sim.now();
+            let futs: Vec<_> = arrays
+                .into_iter()
+                .map(|a| {
+                    let sim = sim.clone();
+                    async move {
+                        for k in 0..per_rank / MIB {
+                            a.read(&sim, k * MIB, MIB).await.expect("read");
+                        }
+                    }
+                })
+                .collect();
+            join_all(&sim, futs).await;
+            gib_per_sec(ranks as u64 * per_rank, (sim.now() - t0).as_secs_f64())
+        };
+        let healthy = read_all(arrays.clone(), sim.clone()).await;
+        env.cluster.exclude_target(target);
+        let degraded = read_all(arrays, sim.clone()).await;
+        (healthy, degraded)
+    })
+}
+
+// ---------------------------------------------------------------------
+// DFuse cost decomposition
+// ---------------------------------------------------------------------
+
+/// One IOR run (S2, file-per-process) through `api` on a DFuse mount
+/// configured as `dfuse`. Returns (write GiB/s, read GiB/s).
+pub(crate) fn dfuse_point(
+    seed: u64,
+    dfuse: DfuseConfig,
+    api: Api,
+    nodes: u32,
+    ppn: u32,
+    block: u64,
+) -> (f64, f64) {
+    let mut sim = Sim::new(seed);
+    sim.block_on(move |sim| async move {
+        let env = DaosTestbed::setup(&sim, paper_cluster(nodes), DfsConfig::default(), dfuse)
+            .await
+            .expect("testbed");
+        let mut p = paper_params(api, ObjectClass::S2, true, ppn);
+        p.block_size = block;
+        let r = run(&sim, &env, p).await.expect("run");
+        (r.write_gib_s(), r.read_gib_s())
+    })
+}
+
+// ---------------------------------------------------------------------
+// Metadata rates (mdtest)
+// ---------------------------------------------------------------------
+
+/// An mdtest create / stat / unlink storm on the DAOS testbed, through
+/// DFS or DFuse (the backend salts the seed).
+pub(crate) fn daos_md(
+    seed: u64,
+    backend: MdBackend,
+    nodes: u32,
+    ppn: u32,
+    files: u32,
+) -> MdtestReport {
+    let mut sim = Sim::new(seed ^ backend as u64);
+    sim.block_on(move |sim| async move {
+        let env = DaosTestbed::setup(
+            &sim,
+            paper_cluster(nodes),
+            DfsConfig::default(),
+            DfuseConfig::default(),
+        )
+        .await
+        .expect("testbed");
+        mdtest(&sim, &env, backend, ppn, files)
+            .await
+            .expect("mdtest")
+    })
+}
+
+/// The same storm against the Lustre-like PFS's single MDS.
+pub(crate) fn pfs_md(seed: u64, nodes: u32, ppn: u32, files: u32) -> MdtestReport {
+    let mut sim = Sim::new(seed);
+    sim.block_on(move |sim| async move {
+        let fs = Pfs::build(PfsConfig {
+            client_nodes: nodes,
+            ..Default::default()
+        });
+        // pre-create per-rank dirs is implicit in the flat namespace
+        mdtest_pfs(&sim, &fs, ppn, files).await.expect("mdtest pfs")
+    })
+}
+
+// ---------------------------------------------------------------------
+// Application workloads (NWP, checkpoint, producer-consumer)
+// ---------------------------------------------------------------------
+
+/// One client handle per node, reaching DAOS the way `which` says.
+async fn accesses(sim: &Sim, which: Access, nodes: u32) -> Vec<RankAccess> {
+    let cluster = Cluster::build(sim, paper_cluster(nodes));
+    let mut out = Vec::new();
+    for i in 0..nodes {
+        let client = DaosClient::new(Rc::clone(&cluster), i);
+        let pool = client.connect(sim).await.expect("connect");
+        match which {
+            Access::Native => out.push(RankAccess::Native(
+                pool.open_or_create(sim, 5).await.expect("container"),
+            )),
+            Access::Dfs => out.push(RankAccess::Dfs(
+                Dfs::mount(sim, &pool, 5, DfsConfig::default(), i as u64)
+                    .await
+                    .expect("mount"),
+            )),
+            Access::Posix => {
+                let fs = Dfs::mount(sim, &pool, 5, DfsConfig::default(), i as u64)
+                    .await
+                    .expect("mount");
+                out.push(RankAccess::Posix(DfuseMount::new(
+                    fs,
+                    DfuseConfig::default(),
+                )));
+            }
+        }
+    }
+    out
+}
+
+/// Run the application workload `kind` (`nwp`, `checkpoint` or
+/// `producer_consumer`) through `which` (the access mode salts the seed).
+pub(crate) fn run_one(
+    seed: u64,
+    kind: &'static str,
+    which: Access,
+    nodes: u32,
+    params: WorkloadParams,
+) -> WorkloadReport {
+    let mut sim = Sim::new(seed ^ which as u64);
+    sim.block_on(move |sim| async move {
+        let acc = accesses(&sim, which, nodes).await;
+        let mut rep = match kind {
+            "nwp" => nwp::run(&sim, acc, params).await,
+            "checkpoint" => checkpoint::run(&sim, acc, params).await,
+            _ => producer_consumer::run(&sim, acc, params).await,
+        }
+        .expect("workload");
+        rep.access = which;
+        rep
+    })
 }

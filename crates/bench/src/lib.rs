@@ -2,9 +2,9 @@
 //!
 //! The [`experiments`] registry defines every figure and sweep the
 //! findings of *DAOS as HPC Storage: Exploring Interfaces* (CLUSTER 2023)
-//! rest on, once; the `bench` binary runs it (`bench run <name>`,
-//! `bench regress`). The other binaries in `src/bin/` are standalone
-//! studies. This library holds the shared machinery:
+//! rest on, and every follow-up study, once; the `bench` binary runs it
+//! (`bench run <name>`, `bench regress`), and `daosctl` drives ad-hoc
+//! runs. This library holds the shared machinery:
 //!
 //! * [`ExperimentPoint`] — one (api, object class, client-node count) cell;
 //! * [`exec`] — the deterministic parallel job runner: an ordered
@@ -12,25 +12,22 @@
 //!   threads with results reduced **in submission order**, so every
 //!   artifact is byte-identical at any thread count (`--threads` /
 //!   `BENCH_THREADS`; `1` = serial);
-//! * [`run_sweep`] — executes a list of points as slate jobs (one
-//!   deterministic `Sim` per point — simulations are independent, so
-//!   this is the embarrassingly parallel axis);
-//! * [`figures`] — the seeded cell runners the registry's jobs call;
-//! * [`Reporter`] — per-binary ledger: records metrics into a
-//!   schema-versioned [`report::BenchReport`] (written as
-//!   `BENCH_<name>.json`), counts PASS/FAIL shape checks, and gates the
-//!   process exit code so every binary fails loudly in CI;
+//! * [`figures`] — the seeded cell runners the registry's jobs call (one
+//!   deterministic `Sim` per cell — simulations are independent, so this
+//!   is the embarrassingly parallel axis);
+//! * [`Reporter`] — ledger: records metrics into a schema-versioned
+//!   [`report::BenchReport`] (written as `BENCH_<name>.json`) and counts
+//!   PASS/FAIL shape checks, which gate `bench`'s exit code;
 //! * [`baseline`] — tolerance-band comparison against committed baselines;
 //! * [`invariants`] — the paper's qualitative results (R1–R11, R2x, R5x)
 //!   as machine-checked predicates;
-//! * CSV emission and a terminal ASCII chart so the figure's *shape* is
+//! * table emission and a terminal ASCII chart so the figure's *shape* is
 //!   visible without leaving the shell.
 
 // No `unsafe` may enter the workspace outside the audited kernel
 // crate (`daos-sim`, which carries `deny`): see simlint rule D05.
 #![forbid(unsafe_code)]
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use daos_core::ClusterConfig;
@@ -88,25 +85,9 @@ pub fn paper_params(api: Api, oclass: ObjectClass, fpp: bool, ppn: u32) -> IorPa
 /// Execute one point in a fresh simulation (deterministic per point);
 /// phase times are averaged over `repeats` placements (distinct seeds ->
 /// distinct placements, like IOR's `-i` iterations in the paper's runs).
-pub fn run_point(
-    point: ExperimentPoint,
-    fpp: bool,
-    ppn: u32,
-    seed: u64,
-    repeats: u64,
-) -> Measurement {
-    run_point_with(
-        point,
-        paper_params(point.api, point.oclass, fpp, ppn),
-        seed,
-        repeats,
-    )
-}
-
-/// [`run_point`] with explicit IOR parameters: the figure cells use
-/// [`paper_params`]; the determinism regression test keeps the exact
-/// same machinery (salted testbed, per-repeat seed derivation) at a
-/// smaller I/O volume.
+/// The figure and sweep cells pass [`paper_params`]; the determinism
+/// regression test keeps the exact same machinery (salted testbed,
+/// per-repeat seed derivation) at a smaller I/O volume.
 pub fn run_point_with(
     point: ExperimentPoint,
     params: IorParams,
@@ -162,80 +143,6 @@ pub fn run_point_in(
     Measurement { point, report }
 }
 
-/// Run every point as independent jobs on the slate executor
-/// ([`exec::Slate`]), parallel across host threads, reduced in
-/// submission order — output is byte-identical at any thread count.
-pub fn run_sweep(
-    points: Vec<ExperimentPoint>,
-    fpp: bool,
-    ppn: u32,
-    seed: u64,
-    repeats: u64,
-) -> Vec<Measurement> {
-    run_sweep_threads(points, fpp, ppn, seed, repeats, exec::threads())
-}
-
-/// [`run_sweep`] with an explicit thread count (the schedule-independence
-/// tests pin 1, 2 and 8; binaries resolve [`exec::threads`]).
-pub fn run_sweep_threads(
-    points: Vec<ExperimentPoint>,
-    fpp: bool,
-    ppn: u32,
-    seed: u64,
-    repeats: u64,
-    threads: usize,
-) -> Vec<Measurement> {
-    let mut slate = exec::Slate::new();
-    for point in points {
-        slate.push(
-            format!(
-                "{}-{}/{}n",
-                point.api.name(),
-                point.oclass,
-                point.client_nodes
-            ),
-            move || run_point(point, fpp, ppn, seed, repeats),
-        );
-    }
-    slate
-        .run(threads)
-        .unwrap_or_else(|p| panic!("sweep {p}"))
-        .into_iter()
-        .map(|r| r.value)
-        .collect()
-}
-
-/// Emit a figure as CSV: `series,client_nodes,write_gib_s,read_gib_s`.
-pub fn print_csv(title: &str, ms: &[Measurement]) {
-    println!("# {title}");
-    println!("series,client_nodes,write_gib_s,read_gib_s");
-    for m in ms {
-        println!(
-            "{},{},{:.3},{:.3}",
-            m.series(),
-            m.point.client_nodes,
-            m.report.write_gib_s(),
-            m.report.read_gib_s()
-        );
-    }
-}
-
-/// Group measurements into series -> (client_nodes -> bandwidth).
-pub fn series_table(ms: &[Measurement], read: bool) -> BTreeMap<String, BTreeMap<u32, f64>> {
-    let mut out: BTreeMap<String, BTreeMap<u32, f64>> = BTreeMap::new();
-    for m in ms {
-        let bw = if read {
-            m.report.read_gib_s()
-        } else {
-            m.report.write_gib_s()
-        };
-        out.entry(m.series())
-            .or_default()
-            .insert(m.point.client_nodes, bw);
-    }
-    out
-}
-
 /// Print a report as CSV, one `series,scale,<metrics>` header per run of
 /// rows sharing a metric set (integral values without decimals).
 pub fn print_table(report: &BenchReport) {
@@ -287,16 +194,12 @@ pub fn print_ascii_chart(title: &str, report: &BenchReport, read: bool) {
     }
 }
 
-/// Per-binary reporting ledger: metrics accumulate into a
-/// [`BenchReport`], shape checks print PASS/FAIL lines, and [`finish`]
-/// writes `BENCH_<name>.json` and turns any failed check into a nonzero
-/// exit — every benchmark binary gates CI through this one path.
-///
-/// [`finish`]: Reporter::finish
+/// Reporting ledger: metrics accumulate into a [`BenchReport`], shape
+/// checks print PASS/FAIL lines and count failures, which the `bench`
+/// binary turns into a nonzero exit.
 pub struct Reporter {
     report: BenchReport,
     failed: u64,
-    total_checks: u64,
     start: std::time::Instant,
 }
 
@@ -306,7 +209,6 @@ impl Reporter {
         Reporter {
             report: BenchReport::new(name, seed),
             failed: 0,
-            total_checks: 0,
             // simlint: allow(D02) wall-time provenance stamp for BENCH_<name>.json; never feeds back into the simulation
             start: std::time::Instant::now(),
         }
@@ -318,10 +220,9 @@ impl Reporter {
     }
 
     /// Shape assertion against the paper's qualitative results; prints
-    /// PASS/FAIL rather than panicking, and counts failures so
-    /// [`Reporter::finish`] can gate CI on them.
+    /// PASS/FAIL rather than panicking, and counts failures so the caller
+    /// can gate CI on them.
     pub fn check(&mut self, label: &str, ok: bool) {
-        self.total_checks += 1;
         if !ok {
             self.failed += 1;
         }
@@ -340,33 +241,11 @@ impl Reporter {
         self.report.wall_secs = self.start.elapsed().as_secs_f64();
         self.report
     }
-
-    /// Terminate the binary: write `BENCH_<name>.json`, then exit 0 if
-    /// every [`Reporter::check`] passed, 1 otherwise.
-    ///
-    /// The JSON lands in `$DAOS_BENCH_OUT` if set, else `results/` if that
-    /// directory exists (i.e. when run from the repo root), else nowhere.
-    pub fn finish(self) -> ! {
-        let failed = self.failed;
-        let report = self.into_report();
-        if let Some(dir) = json_out_dir() {
-            match report.write_to(&dir) {
-                Ok(path) => eprintln!("wrote {}", path.display()),
-                Err(e) => {
-                    eprintln!("failed to write BENCH_{}.json: {e}", report.name);
-                    std::process::exit(1);
-                }
-            }
-        }
-        if failed > 0 {
-            eprintln!("{failed} check(s) failed");
-            std::process::exit(1);
-        }
-        std::process::exit(0);
-    }
 }
 
-/// Where benchmark binaries drop their `BENCH_<name>.json`.
+/// Where `bench run` drops its `BENCH_<name>.json`: `$DAOS_BENCH_OUT` if
+/// set (empty: nowhere), else `results/` if that directory exists (i.e.
+/// when run from the repo root), else nowhere.
 pub fn json_out_dir() -> Option<PathBuf> {
     if let Ok(dir) = std::env::var("DAOS_BENCH_OUT") {
         if dir.is_empty() {
@@ -409,20 +288,6 @@ mod tests {
         assert_eq!(m.series(), "DFS-S2");
         let m = meas(Api::Hdf5, ObjectClass::SX, 4, 1.0, 1.0);
         assert_eq!(m.series(), "HDF5-SX");
-    }
-
-    #[test]
-    fn series_table_groups_and_selects_phase() {
-        let ms = vec![
-            meas(Api::Dfs, ObjectClass::S1, 1, 5.0, 9.0),
-            meas(Api::Dfs, ObjectClass::S1, 2, 10.0, 18.0),
-            meas(Api::Dfs, ObjectClass::S2, 1, 6.0, 11.0),
-        ];
-        let wr = series_table(&ms, false);
-        assert_eq!(wr.len(), 2);
-        assert!((wr["DFS-S1"][&2] - 10.0).abs() < 0.1);
-        let rd = series_table(&ms, true);
-        assert!((rd["DFS-S2"][&1] - 11.0).abs() < 0.1);
     }
 
     #[test]

@@ -25,8 +25,8 @@ pub mod tree;
 pub use target::{ScrubFinding, ScrubReport, VosConfig, VosCounters, VosError, VosTarget};
 pub use tree::{CsumViolation, Extent, ExtentTree, ReadSeg};
 
-use bytes::Bytes;
 use std::cell::RefCell;
+use std::sync::Arc;
 
 /// An update epoch (DAOS uses HLC timestamps; monotonic u64 here).
 pub type Epoch = u64;
@@ -44,14 +44,14 @@ pub fn key(k: impl AsRef<[u8]>) -> Key {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Payload {
     /// Actual data.
-    Bytes(Bytes),
+    Bytes(Arc<[u8]>),
     /// `len` synthetic bytes from a seeded stream starting at `skew`.
     Pattern { seed: u64, skew: u64, len: u64 },
 }
 
 impl Payload {
     /// A payload from literal bytes.
-    pub fn bytes(data: impl Into<Bytes>) -> Self {
+    pub fn bytes(data: impl Into<Arc<[u8]>>) -> Self {
         Payload::Bytes(data.into())
     }
 
@@ -75,11 +75,11 @@ impl Payload {
 
     /// Sub-range `[off, off+len)`; both payload kinds slice consistently
     /// (a pattern's slice yields the same bytes as slicing its
-    /// materialisation).
+    /// materialisation). Literal bytes copy the sub-range.
     pub fn slice(&self, off: u64, len: u64) -> Payload {
         debug_assert!(off + len <= self.len(), "slice out of range");
         match self {
-            Payload::Bytes(b) => Payload::Bytes(b.slice(off as usize..(off + len) as usize)),
+            Payload::Bytes(b) => Payload::Bytes(b[off as usize..(off + len) as usize].into()),
             Payload::Pattern { seed, skew, .. } => Payload::Pattern {
                 seed: *seed,
                 skew: *skew + off,
@@ -97,7 +97,7 @@ impl Payload {
     }
 
     /// Materialise to owned bytes (tests / verification — O(len) memory).
-    pub fn materialize(&self) -> Bytes {
+    pub fn materialize(&self) -> Arc<[u8]> {
         match self {
             Payload::Bytes(b) => b.clone(),
             Payload::Pattern { seed, skew, len } => {
@@ -110,7 +110,7 @@ impl Payload {
                 for i in (words * 8)..*len {
                     v.push(pattern_byte(*seed, *skew + i));
                 }
-                Bytes::from(v)
+                v.into()
             }
         }
     }
@@ -128,7 +128,7 @@ impl Payload {
                 let mut v = b.to_vec();
                 let mid = v.len() / 2;
                 v[mid] ^= 0x80;
-                Payload::Bytes(Bytes::from(v))
+                Payload::Bytes(v.into())
             }
             Payload::Pattern { seed, skew, len } => Payload::Pattern {
                 seed: seed ^ 0xB17_2077_DEAD_BEEF,

@@ -18,8 +18,8 @@
 //!   read/write behaviour that pure-phase benchmarks never show.
 //!
 //! Each workload returns a [`WorkloadReport`] with phase timings and
-//! bandwidths; `daos-bench`'s `app_workloads` binary tabulates them across
-//! interfaces.
+//! bandwidths; `daos-bench`'s `app_workloads` study (`bench run
+//! app_workloads`) tabulates them across interfaces.
 
 // No `unsafe` may enter the workspace outside the audited kernel
 // crate (`daos-sim`, which carries `deny`): see simlint rule D05.

@@ -8,7 +8,7 @@
 //! of its own (simlint D04) — all threading happens inside `daos-bench`'s
 //! sanctioned executor.
 
-use daos_bench::experiments::{regress_selection, run_selection, Cell, Scale, SlateRun};
+use daos_bench::experiments::{run_selection, Cell, Experiment, Scale, SlateRun, REGISTRY};
 use daos_bench::figures::{rot_timeline, FaultTimeline, RotTimeline};
 use daos_placement::ObjectClass;
 
@@ -79,14 +79,14 @@ fn rows(run: &SlateRun) -> (Vec<String>, Vec<String>, Vec<String>) {
     (fault, rot, qos)
 }
 
-/// The gate's selection at smoke scale: eight reports, each
-/// byte-identical across thread counts, plus identical timeline rows and
-/// job order.
+/// The whole registry at smoke scale — gate, nightly tier and studies:
+/// every report byte-identical across thread counts, plus identical
+/// timeline rows and job order.
 #[test]
 fn smoke_selection_is_byte_identical_across_thread_counts() {
-    let selection = regress_selection(false);
+    let selection: Vec<&Experiment> = REGISTRY.iter().collect();
     let base = run_selection(&selection, Scale::Smoke, 1);
-    assert_eq!(base.runs.len(), 8);
+    assert_eq!(base.runs.len(), REGISTRY.len());
     let json =
         |run: &SlateRun| -> Vec<String> { run.runs.iter().map(|r| r.report.to_json()).collect() };
     let labels =
